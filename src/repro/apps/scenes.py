@@ -22,19 +22,12 @@ fire scenes by publishing that event.
 from __future__ import annotations
 
 from repro.apps.home import SmartHome
-from repro.rules.actions import SWEEP_PRESETS, pick_operation
+from repro.rules.actions import SWEEP_PRESETS
 from repro.rules.engine import Firing, RuleEngine
 from repro.rules import dsl
-from repro.soap.wsdl import WsdlDocument
 
 #: Preference order of "switch it off" operations.
 OFF_OPERATIONS = SWEEP_PRESETS["off"]
-#: Preference order of "switch it on" operations.
-ON_OPERATIONS = SWEEP_PRESETS["on"]
-
-
-def _pick(document: WsdlDocument, candidates: tuple[str, ...]) -> str | None:
-    return pick_operation(document, candidates)
 
 
 class SceneController:
@@ -52,9 +45,6 @@ class SceneController:
     def room_off(self, room: str) -> int:
         """Switch off everything in ``room``; returns devices commanded."""
         return self._apply({"room": room}, OFF_OPERATIONS)
-
-    def room_on(self, room: str) -> int:
-        return self._apply({"room": room}, ON_OPERATIONS)
 
     def all_off(self) -> int:
         """'Leaving home': off everything that has an off operation."""

@@ -65,12 +65,6 @@ class SipMessage:
                 return value
         return default
 
-    @property
-    def cseq(self) -> int:
-        value = self.header("CSeq", "0")
-        number = value.split(" ", 1)[0]
-        return int(number) if number.isdigit() else 0
-
     def _render(self, start_line: str) -> bytes:
         headers = dict(self.headers)
         headers.setdefault("Content-Length", str(len(self.body)))

@@ -1,4 +1,4 @@
-"""HTTP transport over the simulated TCP: legacy one-shot and fast keep-alive.
+"""HTTP transport over the simulated TCP: the legacy wire and the fast path.
 
 Faithful to the era the paper describes: by default, one connection per
 exchange (``Connection: close``), textual headers, ``Content-Length``
@@ -26,14 +26,19 @@ Everything stays off unless a client is constructed with a fast config, and
 a fast client talking to a legacy server degrades transparently: the first
 exchange is always legacy-shaped, and upgrades happen only after the peer
 has proven it understands them.
+
+Both wires share one client exchange path, :class:`_ClientConnection`: a
+keep-alive request joins its destination's pooled connection, and any other
+request gets an unpooled connection of its own that carries one HTTP/1.0
+exchange and then closes.
 """
 
 from __future__ import annotations
 
 import gzip
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from repro.errors import HttpError, ProtocolError, TransportError
@@ -59,7 +64,8 @@ _REASONS = {
 FEATURES_HEADER = "X-Interchange"
 #: What this implementation's server side can do.
 SERVER_FEATURES = "terse gzip"
-#: Server-side floor below which response bodies are never compressed.
+#: Floor below which bodies, requests and responses alike, are never
+#: compressed.
 COMPRESS_MIN_BYTES = 200
 
 
@@ -79,10 +85,9 @@ class InterchangeConfig:
     pool_destinations: int = 8
     #: Virtual seconds an idle pooled connection survives before closing.
     idle_timeout: float = 30.0
-    #: Negotiate ``Accept-Encoding: gzip`` with peers.
+    #: Negotiate ``Accept-Encoding: gzip`` with peers; bodies below
+    #: :data:`COMPRESS_MIN_BYTES` are sent uncompressed.
     compress: bool = False
-    #: Request bodies below this size are sent uncompressed.
-    compress_min_bytes: int = COMPRESS_MIN_BYTES
     #: Negotiate the terse envelope encoding (see ``repro.soap.envelope``).
     terse: bool = False
     #: Virtual seconds before a started exchange is declared wedged: the
@@ -120,21 +125,10 @@ class InterchangeConfig:
     #: strictly-serial behaviour.
     pipeline_depth: int = 1
 
-    @property
-    def fast(self) -> bool:
-        """True when any fast-path feature is enabled."""
-        return (
-            self.keep_alive
-            or self.compress
-            or self.terse
-            or self.events_push
-            or self.vectored
-            or self.pipeline_depth > 1
-        )
-
-    @property
+    @cached_property
     def advertised_features(self) -> str:
-        """The ``X-Interchange`` advert this config sends to peers."""
+        """The ``X-Interchange`` advert this config sends to peers
+        (computed once per config, not once per request)."""
         parts = []
         if self.terse:
             parts.append("terse")
@@ -321,6 +315,8 @@ class _MessageAssembler:
                 self._body_needed = int(headers.get("Content-Length", "0"))
             except ValueError as exc:
                 raise ProtocolError("bad Content-Length") from exc
+            if self._body_needed < 0:
+                raise ProtocolError("negative Content-Length")
         if len(self._buffer) < self._body_needed:
             return None
         start, headers = self._head
@@ -541,20 +537,41 @@ class HttpServer:
             conn.close()
 
 
-class _PooledConnection:
-    """One destination's persistent connection: a FIFO of pending
-    exchanges, up to ``pipeline_depth`` in flight at a time (responses
-    match requests in order), an idle-close timer, and enough bookkeeping
-    to die cleanly when the path does."""
+def _fail_all(futures, exc: BaseException) -> None:
+    """Fail every still-pending future with ``exc``."""
+    for future in futures:
+        if not future.done():
+            future.set_exception(exc)
 
-    def __init__(self, client: "HttpClient", key: tuple[NodeAddress, int]) -> None:
+
+class _ClientConnection:
+    """One client connection and the exchanges queued on it: a FIFO of
+    pending exchanges, up to ``pipeline_depth`` in flight at a time
+    (responses match requests in order), and enough bookkeeping to die
+    cleanly when the path does.
+
+    A *pooled* entry is a destination's persistent keep-alive connection
+    in the client's pool, with an idle-close timer.  An unpooled entry
+    carries a single legacy exchange — HTTP/1.0, ``Connection: close`` —
+    and dies with it, which is the paper's one connection per exchange.
+    """
+
+    def __init__(
+        self, client: "HttpClient", key: tuple[NodeAddress, int],
+        pooled: bool = True, span=NULL_SPAN,
+    ) -> None:
         self.client = client
         self.key = key
+        self.pooled = pooled
+        #: The exchange span an unpooled entry's ``http.connect`` span
+        #: nests under (pooled connects are not traced).
+        self.span = span
         self.conn: Connection | None = None
-        self.assembler = _MessageAssembler()
+        #: Fresh per transport connection (see ``_connect``).
+        self.assembler: _MessageAssembler | None = None
         self.queue: list[tuple[HttpRequest, SimFuture]] = []
         #: Futures of requests already written, in request order.
-        self.inflight: deque[SimFuture] = deque()
+        self.inflight: list[SimFuture] = []
         self.idle_timer: Event | None = None
         #: Invalidates this entry's records in the client's idle heap
         #: whenever it leaves the idle state (lazy deletion).
@@ -565,7 +582,6 @@ class _PooledConnection:
         self.peer_keeps_alive = False
         self.connecting = False
         self.dead = False
-        self.exchanges = 0
 
     # -- public (driven by HttpClient) ---------------------------------------
 
@@ -578,8 +594,9 @@ class _PooledConnection:
             self._connect()
 
     def abort(self, exc: BaseException) -> None:
-        """Evict: kill the transport connection and fail every pending
-        exchange with ``exc`` so callers retry on a fresh connection."""
+        """Evict: kill the transport connection (RST and local close) and
+        fail every pending exchange with ``exc`` so callers retry on a
+        fresh connection."""
         if self.dead:
             return
         self.dead = True
@@ -587,35 +604,39 @@ class _PooledConnection:
         conn, self.conn = self.conn, None
         if conn is not None:
             conn.abort()
-        inflight, self.inflight = list(self.inflight), deque()
-        for future in inflight:
-            if not future.done():
-                future.set_exception(exc)
+        inflight, self.inflight = self.inflight, []
+        _fail_all(inflight, exc)
         queue, self.queue = self.queue, []
-        for _request, future in queue:
-            if not future.done():
-                future.set_exception(exc)
+        _fail_all([future for _request, future in queue], exc)
 
     # -- internals ------------------------------------------------------------
 
     def _connect(self) -> None:
         self.connecting = True
         dst, port = self.key
+        client = self.client
+        connect_span = (
+            client.obs.tracer.start_span(
+                "http.connect", island=client.label, kind="transport", parent=self.span
+            )
+            if self.span.recording
+            else NULL_SPAN
+        )
 
         def on_connected(conn_future: SimFuture) -> None:
             self.connecting = False
+            exc = conn_future.exception()
+            connect_span.finish(exc)
             if self.dead:
-                if conn_future.exception() is None:
+                if exc is None:
                     conn_future.result().abort()
                 return
-            exc = conn_future.exception()
             if exc is not None:
-                self.client._drop_entry(self)
+                client._drop_entry(self)
                 self.abort(exc)
                 return
             self.conn = conn_future.result()
-            config = self.client.config
-            if config.vectored:
+            if client.config.vectored:
                 # Reactor wire: coalesce our writes, take zero-copy reads
                 # (the bytearray assembler accepts memoryview slices).
                 self.conn.vectored = True
@@ -628,7 +649,7 @@ class _PooledConnection:
             self.conn.on_close(self._on_closed)
             self._pump()
 
-        self.client.stack.connect(dst, port).add_done_callback(on_connected)
+        client.stack.connect(dst, port).add_done_callback(on_connected)
 
     def _pump(self) -> None:
         if not self.queue:
@@ -651,8 +672,8 @@ class _PooledConnection:
                 self.inflight.pop()
                 self.client._drop_entry(self)
                 if not future.done():
-                    future.set_exception(TransportError(f"pooled send failed: {exc}"))
-                self.abort(TransportError(f"pooled connection unusable: {exc}"))
+                    future.set_exception(TransportError(f"HTTP send failed: {exc}"))
+                self.abort(TransportError(f"HTTP connection unusable: {exc}"))
                 return
 
     def _on_data(self, connection: Connection, data: bytes) -> None:
@@ -665,39 +686,21 @@ class _PooledConnection:
                     return
                 response = _build_response(*complete)
             except ProtocolError as exc:
-                future = self.inflight.popleft() if self.inflight else None
+                future = self.inflight.pop(0) if self.inflight else None
                 if future is not None and not future.done():
                     future.set_exception(exc)
                 self.client._drop_entry(self)
-                self.abort(TransportError("pooled connection desynchronised"))
+                self.abort(TransportError("HTTP connection desynchronised"))
                 return
-            self.exchanges += 1
-            future = self.inflight.popleft() if self.inflight else None
+            future = self.inflight.pop(0) if self.inflight else None
             self.client._note_response(self.key, response)
-            keep = "keep-alive" in response.header("Connection").lower()
-            if keep:
-                self.peer_keeps_alive = True
+            keep = self.pooled and "keep-alive" in response.header("Connection").lower()
+            if not keep:
+                self._close_after_exchange(future, response)
+                return
+            self.peer_keeps_alive = True
             if future is not None and not future.done():
                 future.set_result(response)
-            if not keep:
-                # Peer is closing after this exchange (legacy server):
-                # anything pipelined behind it will never be answered;
-                # queued-but-unsent requests reconnect fresh.
-                conn, self.conn = self.conn, None
-                if conn is not None:
-                    conn.close()
-                stranded, self.inflight = list(self.inflight), deque()
-                for pending in stranded:
-                    if not pending.done():
-                        pending.set_exception(
-                            TransportError("peer closed before pipelined response")
-                        )
-                if self.queue:
-                    self._connect()
-                elif not self.dead:
-                    self.client._drop_entry(self)
-                    self.dead = True
-                return
             if self.queue:
                 self._pump()
             if not self.inflight and not self.queue:
@@ -706,16 +709,34 @@ class _PooledConnection:
             if not self.assembler.has_buffered:
                 return
 
+    def _close_after_exchange(self, future: SimFuture | None, response: HttpResponse) -> None:
+        """The connection ends with this exchange: a legacy server closes
+        after it, and so does an unpooled entry's single exchange.  Close
+        before resolving, so a request issued from the response's
+        callbacks never lands on the closing connection.  Anything
+        pipelined behind the response will never be answered; requests
+        queued but unsent reconnect fresh."""
+        conn, self.conn = self.conn, None
+        if conn is not None:
+            conn.close()
+        stranded, self.inflight = self.inflight, []
+        self._reconnect_or_die()
+        if future is not None and not future.done():
+            future.set_result(response)
+        _fail_all(stranded, TransportError("peer closed before pipelined response"))
+
     def _on_closed(self, connection: Connection) -> None:
         if self.dead or connection is not self.conn:
             return
         self.conn = None
-        inflight, self.inflight = list(self.inflight), deque()
-        for future in inflight:
-            if not future.done():
-                future.set_exception(TransportError("connection closed mid-response"))
+        inflight, self.inflight = self.inflight, []
+        _fail_all(inflight, TransportError("connection closed mid-response"))
+        self._reconnect_or_die()
+
+    def _reconnect_or_die(self) -> None:
+        """The transport connection is gone.  Requests never sent are safe
+        to replay on a new connection; with none queued the entry dies."""
         if self.queue:
-            # Requests never sent are safe to replay on a new connection.
             self._connect()
         else:
             self.client._drop_entry(self)
@@ -755,8 +776,9 @@ class _PooledConnection:
 
 
 class HttpClient:
-    """HTTP exchanges: one-shot by default, pooled keep-alive when the
-    config asks for it."""
+    """HTTP exchanges, each carried by a :class:`_ClientConnection`: a
+    connection per exchange by default, the destination's pooled
+    keep-alive connection when the config asks for it."""
 
     def __init__(self, stack: TransportStack, config: InterchangeConfig | None = None) -> None:
         self.stack = stack
@@ -766,14 +788,14 @@ class HttpClient:
         self.pooled_evictions = 0
         self.compressed_requests = 0
         #: destination -> pooled entry, in LRU order (oldest first).
-        self._pool: dict[tuple[NodeAddress, int], _PooledConnection] = {}
+        self._pool: dict[tuple[NodeAddress, int], _ClientConnection] = {}
         #: Idle entries indexed by expiry deadline: a heap of
         #: ``(deadline, seq, entry, generation)`` records.  Records go
         #: stale (lazy deletion) when the entry leaves the idle state and
         #: bumps its ``idle_gen``; eviction pops from the head, so finding
         #: the next idle victim is O(evicted + stale) instead of a linear
         #: scan of the whole pool on every acquire.
-        self._idle_heap: list[tuple[float, int, _PooledConnection, int]] = []
+        self._idle_heap: list[tuple[float, int, _ClientConnection, int]] = []
         self._idle_seq = 0
         #: destination -> features the peer has proven it understands.
         self._peer_features: dict[tuple[NodeAddress, int], frozenset[str]] = {}
@@ -829,20 +851,20 @@ class HttpClient:
                 self._m_evictions.inc()
                 entry.abort(TransportError(f"pooled connection to {dst} invalidated"))
 
-    def _drop_entry(self, entry: _PooledConnection) -> None:
+    def _drop_entry(self, entry: _ClientConnection) -> None:
         current = self._pool.get(entry.key)
         if current is entry:
             del self._pool[entry.key]
 
-    def _entry_for(self, key: tuple[NodeAddress, int]) -> _PooledConnection:
+    def _entry_for(self, key: tuple[NodeAddress, int]) -> _ClientConnection:
         entry = self._pool.pop(key, None)
         if entry is None:
-            entry = _PooledConnection(self, key)
+            entry = _ClientConnection(self, key)
             self._evict_lru_idle()
         self._pool[key] = entry  # (re-)append: most recently used last
         return entry
 
-    def _note_idle(self, entry: _PooledConnection, deadline: float) -> None:
+    def _note_idle(self, entry: _ClientConnection, deadline: float) -> None:
         """Index an entry that just went idle by its expiry deadline."""
         self._idle_seq += 1
         heapq.heappush(
@@ -868,7 +890,7 @@ class HttpClient:
     def pooled_destinations(self) -> int:
         return len(self._pool)
 
-    def open_connections(self) -> list["_PooledConnection"]:
+    def open_connections(self) -> list["_ClientConnection"]:
         """Pool entries whose transport connection is still live (or still
         being established).  A quiesced client — nothing in flight, idle
         timers allowed to run — must report none; the testkit's pool-leak
@@ -927,12 +949,6 @@ class HttpClient:
                 span.finish(done.exception())
 
         headers = dict(headers or {})
-        if not self.config.fast:
-            request = HttpRequest(method=method, path=path, headers=headers, body=body)
-            result = self._oneshot(dst, port, request, span)
-            if span.recording:
-                result.add_done_callback(finish_span)
-            return result
         key = (dst, port)
         advert = self.config.advertised_features
         if advert:
@@ -941,32 +957,32 @@ class HttpClient:
             headers.setdefault("Accept-Encoding", "gzip")
             if (
                 "gzip" in self._peer_features.get(key, frozenset())
-                and len(body) >= self.config.compress_min_bytes
+                and len(body) >= COMPRESS_MIN_BYTES
             ):
                 body = gzip_bytes(body)
                 headers["Content-Encoding"] = "gzip"
                 self.compressed_requests += 1
                 self._m_compressed.inc()
-        if not self.config.keep_alive:
-            request = HttpRequest(method=method, path=path, headers=headers, body=body)
-            result = self._oneshot(dst, port, request, span)
-            if span.recording:
-                result.add_done_callback(finish_span)
-            return result
-        headers.setdefault("Connection", "keep-alive")
-        request = HttpRequest(
-            method=method, path=path, headers=headers, body=body, version="HTTP/1.1"
-        )
         future: SimFuture = SimFuture()
-        self.pooled_exchanges += 1
-        entry = self._entry_for(key)
-        reused = entry.conn is not None and entry.conn.state == Connection.ESTABLISHED
-        if reused:
-            self._m_pool_hits.inc()
+        if self.config.keep_alive:
+            headers.setdefault("Connection", "keep-alive")
+            request = HttpRequest(
+                method=method, path=path, headers=headers, body=body, version="HTTP/1.1"
+            )
+            self.pooled_exchanges += 1
+            entry = self._entry_for(key)
+            reused = entry.conn is not None and entry.conn.state == Connection.ESTABLISHED
+            if reused:
+                self._m_pool_hits.inc()
+            else:
+                self._m_pool_misses.inc()
+            if span.recording:
+                span.set_attribute("pool", "reused" if reused else "fresh")
         else:
-            self._m_pool_misses.inc()
+            # The legacy wire: a connection of its own for this exchange.
+            request = HttpRequest(method=method, path=path, headers=headers, body=body)
+            entry = _ClientConnection(self, key, pooled=False, span=span)
         if span.recording:
-            span.set_attribute("pool", "reused" if reused else "fresh")
             future.add_done_callback(finish_span)
         entry.enqueue(request, future)
         timeout = self.config.exchange_timeout
@@ -980,91 +996,14 @@ class HttpClient:
                 self._drop_entry(entry)
                 entry.abort(
                     TransportError(
-                        f"pooled exchange with {dst}:{port} timed out "
-                        f"after {timeout:g}s"
-                    )
-                )
-                if self.flight is not None:
-                    self.flight.record(
-                        "watchdog_reap",
-                        mode="pooled",
-                        dst=str(dst),
-                        port=port,
-                        timeout=timeout,
-                    )
-                    self.flight.trigger("watchdog-reap")
-
-            timer = self.stack.sim.schedule(timeout, give_up)
-            future.add_done_callback(lambda _done: timer.cancel())
-        return future
-
-    def _oneshot(
-        self, dst: NodeAddress, port: int, request: HttpRequest, span=NULL_SPAN
-    ) -> SimFuture:
-        """The legacy path: open, exchange once, close."""
-        future: SimFuture = SimFuture()
-        live: dict[str, Connection] = {}
-        connect_span = (
-            self.obs.tracer.start_span(
-                "http.connect", island=self.label, kind="transport", parent=span
-            )
-            if span.recording
-            else NULL_SPAN
-        )
-
-        def on_connected(conn_future: SimFuture) -> None:
-            connect_span.finish(conn_future.exception())
-            exc = conn_future.exception()
-            if exc is not None:
-                future.set_exception(exc)
-                return
-            conn: Connection = conn_future.result()
-            assembler = _MessageAssembler()
-
-            def on_data(connection: Connection, data: bytes) -> None:
-                try:
-                    complete = assembler.feed(data)
-                    if complete is None:
-                        return
-                    response = _build_response(*complete)
-                except ProtocolError as parse_exc:
-                    if not future.done():
-                        future.set_exception(parse_exc)
-                    connection.close()
-                    return
-                self._note_response((dst, port), response)
-                connection.close()
-                if not future.done():
-                    future.set_result(response)
-
-            def on_closed(connection: Connection) -> None:
-                if not future.done():
-                    future.set_exception(TransportError("connection closed mid-response"))
-
-            conn.set_receiver(on_data)
-            conn.on_close(on_closed)
-            live["conn"] = conn
-            conn.send(request.to_bytes())
-
-        timeout = self.config.exchange_timeout
-        if timeout:
-
-            def give_up() -> None:
-                if future.done():
-                    return
-                future.set_exception(
-                    TransportError(
                         f"HTTP exchange with {dst}:{port} timed out "
                         f"after {timeout:g}s"
                     )
                 )
-                conn = live.get("conn")
-                if conn is not None and conn.state != Connection.CLOSED:
-                    conn.close()
                 if self.flight is not None:
                     self.flight.record(
                         "watchdog_reap",
-                        mode="oneshot",
+                        mode="pooled" if entry.pooled else "oneshot",
                         dst=str(dst),
                         port=port,
                         timeout=timeout,
@@ -1073,7 +1012,6 @@ class HttpClient:
 
             timer = self.stack.sim.schedule(timeout, give_up)
             future.add_done_callback(lambda _done: timer.cancel())
-        self.stack.connect(dst, port).add_done_callback(on_connected)
         return future
 
     def get(self, dst: NodeAddress, port: int, path: str) -> SimFuture:

@@ -68,9 +68,6 @@ class SoapServer:
     def service_names(self) -> list[str]:
         return sorted(self._services)
 
-    def path_for(self, service: str) -> str:
-        return SOAP_PATH_PREFIX + service
-
     def close(self) -> None:
         self.http.close()
 

@@ -13,8 +13,8 @@ fault schedule — declared failures are always legal, silent ones never:
   lookup answer the workload saw) never names an island outside the spec.
 - **pool-leak** — after shutdown + drain, no pooled HTTP connection is
   still open on any gateway client (idle timers must do their job; the
-  check is scoped to the pools because legacy one-shot connections to
-  crashed peers leak at the transport level by design).
+  check is scoped to the pools because a legacy connection whose closing
+  FIN meets a crashed peer stays open at the transport level by design).
 - **span-hygiene** — when tracing is on, every started span is finished
   and every parent id resolves inside its own trace.
 - **rule-dedup** — on rules-profile seeds, no rule engine ever fires

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import HttpError
+from repro.errors import HttpError, ProtocolError, TransportError
 from repro.net.simkernel import SimFuture
+from repro.obs.flight import FlightRecorder
 from repro.soap.http import (
     FAST_INTERCHANGE,
     FEATURES_HEADER,
@@ -12,6 +13,7 @@ from repro.soap.http import (
     HttpResponse,
     HttpServer,
     InterchangeConfig,
+    _MessageAssembler,
     _parse_head,
     expect_ok,
     gzip_bytes,
@@ -141,6 +143,26 @@ class TestExchanges:
         with pytest.raises(Exception):
             sim.run_until_complete(client.get(b.local_address(), 80, "/"))
 
+    def test_watchdog_reap_of_partitioned_exchange_frees_connection(
+        self, sim, eth, two_hosts
+    ):
+        """The legacy watchdog ends a wedged exchange with RST and local
+        close (regression: it sent a FIN the partitioned peer never
+        answered, leaving the connection in CLOSING forever)."""
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/stuck", lambda req: SimFuture())  # never answers
+        client = HttpClient(a, InterchangeConfig(exchange_timeout=5.0))
+        client.flight = FlightRecorder(sim, "a")
+        future = client.get(b.local_address(), 80, "/stuck")
+        sim.run(until=1.0)  # the request is parked in the handler
+        assert client.stack.open_connections == 1
+        eth.loss_model = lambda frame: True  # partition: every frame lost
+        sim.run(until=10.0)
+        assert isinstance(future.exception(), TransportError)
+        assert client.stack.open_connections == 0
+        assert [r["kind"] for r in client.flight.records] == ["watchdog_reap"]
+
     def test_concurrent_requests_from_one_client(self, server_client):
         sim, server, client, address = server_client
         server.register("/n", lambda req: HttpResponse(200, body=req.header("X-N").encode()))
@@ -178,6 +200,48 @@ class TestHeaderParsing:
         response.headers["X-Late"] = "yes"
         assert response.header("x-late") == "yes"
         assert response.header("CONTENT-TYPE") == "text/xml"
+
+
+class TestNegativeContentLength:
+    """``Content-Length: -3`` used to slice the body short and leave the
+    rest buffered as the start of the next message."""
+
+    BAD_TAIL = b"Content-Length: -3\r\n\r\nhello world"
+
+    def test_assembler_rejects_negative_length(self):
+        with pytest.raises(ProtocolError):
+            _MessageAssembler().feed(b"HTTP/1.1 200 OK\r\n" + self.BAD_TAIL)
+
+    def test_server_answers_400_and_closes(self, sim, two_hosts):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/a", lambda req: HttpResponse(200))
+        conn = sim.run_until_complete(a.connect(b.local_address(), 80))
+        received = []
+        conn.set_receiver(lambda _conn, data: received.append(bytes(data)))
+        conn.send(b"POST /a HTTP/1.1\r\nConnection: keep-alive\r\n" + self.BAD_TAIL)
+        sim.run()
+        assert b"".join(received).startswith(b"HTTP/1.0 400 ")
+        assert conn.state != conn.ESTABLISHED
+        assert server.requests_served == 0
+
+    def test_client_fails_exchange_and_drops_pooled_connection(self, sim, two_hosts):
+        a, b = two_hosts
+
+        def on_connection(conn):
+            conn.set_receiver(
+                lambda c, _data: c.send(
+                    b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n" + self.BAD_TAIL
+                )
+            )
+
+        b.listen(80, on_connection)
+        client = HttpClient(a, InterchangeConfig(keep_alive=True))
+        future = client.get(b.local_address(), 80, "/a")
+        sim.run()
+        assert isinstance(future.exception(), ProtocolError)
+        assert client.pooled_destinations == 0
+        assert client.stack.open_connections == 0
 
 
 class TestExtensionHeaderRoundTrip:
@@ -304,12 +368,36 @@ class TestKeepAlive:
         sim.run()
         assert client.stack.open_connections == 0
 
+    def test_request_from_close_response_callback_gets_fresh_connection(
+        self, sim, two_hosts
+    ):
+        """A request issued from the done-callback of a ``Connection:
+        close`` response must not be written onto the closing connection
+        (regression: it was, and failed as an unanswered pipelined
+        request)."""
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register(
+            "/a", lambda req: HttpResponse(200, headers={"Connection": "close"})
+        )
+        client = HttpClient(a, InterchangeConfig(keep_alive=True))
+        address = b.local_address()
+        second = []
+        first = client.get(address, 80, "/a")
+        first.add_done_callback(
+            lambda _done: second.append(client.get(address, 80, "/a"))
+        )
+        assert sim.run_until_complete(first).status == 200
+        assert sim.run_until_complete(second[0]).status == 200
+        sim.run()
+        assert client.stack.open_connections == 0
+
 
 class TestCompression:
     def test_gzip_negotiation_roundtrip(self, sim, two_hosts):
         a, b = two_hosts
         server = HttpServer(b, 80)
-        client = HttpClient(a, InterchangeConfig(compress=True, compress_min_bytes=10))
+        client = HttpClient(a, InterchangeConfig(compress=True))
         big = b"event " * 200
 
         def handler(request):

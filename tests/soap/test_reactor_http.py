@@ -129,7 +129,6 @@ class TestPipelining:
     def test_reactor_interchange_advertises_vectored(self):
         assert "vectored" in REACTOR_INTERCHANGE.advertised_features.split()
         assert REACTOR_INTERCHANGE.pipeline_depth > 1
-        assert REACTOR_INTERCHANGE.fast
 
 
 class TestVectoredWire:
