@@ -6,8 +6,8 @@ this script::
 
     python benchmarks/check_throughput.py <current.json> [baseline.json]
 
-The baseline defaults to ``benchmarks/throughput_baseline.json`` next to
-this file.  The build fails when any tracked sustained metric drops more
+The baseline defaults to the ``BENCH_throughput.json`` committed at the
+repo root.  The build fails when any tracked sustained metric drops more
 than ``TOLERANCE`` below the baseline:
 
 - reactor bridged calls/sec at every measured concurrency,
@@ -18,8 +18,8 @@ The simulation is deterministic, so honest runs reproduce the baseline
 exactly; the tolerance only absorbs intentional re-baselining noise (a
 changed wire format legitimately shifts bytes/call and the sustained
 rates a little).  When the numbers *improve* past the tolerance the
-script says so — refresh the baseline in the same PR so the gate keeps
-teeth.
+script says so — refresh the committed ``BENCH_throughput.json`` in the
+same PR so the gate keeps teeth.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ def main(argv: list[str]) -> int:
     baseline_path = (
         argv[2]
         if len(argv) == 3
-        else os.path.join(os.path.dirname(os.path.abspath(__file__)), "throughput_baseline.json")
+        else os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "BENCH_throughput.json",
+        )
     )
     with open(current_path, encoding="utf-8") as handle:
         current = _tracked(json.load(handle))

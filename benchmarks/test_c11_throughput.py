@@ -23,8 +23,8 @@ Pinned claims:
 
 Results go to ``BENCH_throughput.json`` (directory from
 ``$BENCH_OUTPUT_DIR``, default CWD); CI uploads it as an artifact and
-``benchmarks/check_throughput.py`` gates merges against the committed
-``benchmarks/throughput_baseline.json``.
+``benchmarks/check_throughput.py`` gates merges against the copy
+committed at the repo root.
 """
 
 from __future__ import annotations

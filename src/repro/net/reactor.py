@@ -50,13 +50,18 @@ class Continuation:
     """One parked exchange registered with a reactor.
 
     ``finish()`` retires it normally; ``cancel()`` retires it through the
-    ``on_cancel`` hook (exactly once, whichever comes first).
+    ``on_cancel`` hook (exactly once, whichever comes first).  Either way
+    it leaves its reactor's books at once, so a long-lived key (a server)
+    holds only its live continuations.
     """
 
-    __slots__ = ("key", "_on_cancel", "done", "cancelled")
+    __slots__ = ("key", "_reactor", "_on_cancel", "done", "cancelled")
 
-    def __init__(self, key: Any, on_cancel: Callable[[], None] | None) -> None:
+    def __init__(
+        self, reactor: "Reactor", key: Any, on_cancel: Callable[[], None] | None
+    ) -> None:
         self.key = key
+        self._reactor = reactor
         self._on_cancel = on_cancel
         self.done = False
         self.cancelled = False
@@ -65,6 +70,7 @@ class Continuation:
         """Normal retirement: the parked exchange completed."""
         self.done = True
         self._on_cancel = None
+        self._reactor._retire(self)
 
     def cancel(self) -> None:
         """Forced retirement: run the ``on_cancel`` hook if still parked."""
@@ -72,6 +78,7 @@ class Continuation:
             return
         self.done = True
         self.cancelled = True
+        self._reactor._retire(self)
         hook, self._on_cancel = self._on_cancel, None
         if hook is not None:
             hook()
@@ -86,8 +93,9 @@ class Reactor:
         #: Connections with pending frames, in registration order.
         self._writable: list[Connection] = []
         self._cycle_scheduled = False
-        #: key -> parked continuations under it (insertion order).
-        self._continuations: dict[Any, list[Continuation]] = {}
+        #: key -> live continuations parked under it, in insertion order
+        #: (a dict used as an ordered set, so retiring one is O(1)).
+        self._continuations: dict[Any, dict[Continuation, None]] = {}
         # -- deterministic counters (see stats()) --
         self.cycles = 0
         self.flushes = 0
@@ -166,8 +174,8 @@ class Reactor:
         """Park a continuation under ``key`` (a connection, listener or
         server object).  ``on_cancel`` runs if the key is cancelled before
         the continuation finishes."""
-        continuation = Continuation(key, on_cancel)
-        self._continuations.setdefault(key, []).append(continuation)
+        continuation = Continuation(self, key, on_cancel)
+        self._continuations.setdefault(key, {})[continuation] = None
         self.continuations_parked += 1
         return continuation
 
@@ -192,21 +200,20 @@ class Reactor:
             total += self.cancel_key(key)
         return total
 
+    def _retire(self, continuation: Continuation) -> None:
+        """Forget a finished or cancelled continuation.  One cancelled by
+        ``cancel_key`` is already off the books with its whole key."""
+        parked = self._continuations.get(continuation.key)
+        if parked is not None:
+            parked.pop(continuation, None)
+            if not parked:
+                del self._continuations[continuation.key]
+
     @property
     def parked(self) -> int:
         """Live (not yet finished or cancelled) continuations — the
         no-leaked-continuations oracle asserts this is 0 after shutdown."""
-        self._compact()
         return sum(len(parked) for parked in self._continuations.values())
-
-    def _compact(self) -> None:
-        """Drop retired continuations so parked counts stay exact."""
-        for key in list(self._continuations):
-            live = [c for c in self._continuations[key] if not c.done]
-            if live:
-                self._continuations[key] = live
-            else:
-                del self._continuations[key]
 
     # -- observability -------------------------------------------------------
 

@@ -12,8 +12,10 @@ One :class:`Observability` object per simulation bundles:
   HTTP pool and event router.
 
 Everything defaults to :data:`NOOP_OBS` — null tracer, null metrics —
-so the instrumented hot paths cost one attribute check when observability
-is off, and the wire format is untouched (no ``X-Trace`` header is added).
+so with observability off the instrumented hot paths only call no-ops
+(44.0 ``obs`` interpreter calls per op on perfbench's ``bridged_burst``;
+see perfbench/README.md), and the wire format is untouched (no
+``X-Trace`` header is added).
 
 Typical use::
 

@@ -67,6 +67,13 @@ SERVER_FEATURES = "terse gzip"
 #: Floor below which bodies, requests and responses alike, are never
 #: compressed.
 COMPRESS_MIN_BYTES = 200
+#: Largest header section (start line, headers and the blank line) and
+#: largest announced body the message assembler accepts; a peer past
+#: either is a protocol error, not a buffer that grows without limit.
+#: The largest sizes the test suites and benchmarks exchange are about
+#: 450 B and 680 KiB.
+MAX_HEADER_BYTES = 8 * 1024
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -305,8 +312,10 @@ class _MessageAssembler:
         """Returns (start-line parts, headers, body) once complete."""
         self._buffer += data
         if self._head is None:
-            end = self._buffer.find(_HEADER_END)
+            end = self._buffer.find(_HEADER_END, 0, MAX_HEADER_BYTES)
             if end < 0:
+                if len(self._buffer) >= MAX_HEADER_BYTES:
+                    raise ProtocolError("header section too large")
                 return None
             self._head = _parse_head(bytes(self._buffer[:end]))
             del self._buffer[: end + len(_HEADER_END)]
@@ -317,6 +326,8 @@ class _MessageAssembler:
                 raise ProtocolError("bad Content-Length") from exc
             if self._body_needed < 0:
                 raise ProtocolError("negative Content-Length")
+            if self._body_needed > MAX_BODY_BYTES:
+                raise ProtocolError("Content-Length too large")
         if len(self._buffer) < self._body_needed:
             return None
         start, headers = self._head

@@ -3,7 +3,8 @@
 One integer seed fully determines a run: the topology (``TopologyGen``),
 the workload script (``WorkloadGen``), and the fault schedule
 (``FaultPlanGen``) are all pure data derived from the seed before the
-simulation starts.  ``runner.check`` replays the scripts against a fresh
+simulation starts; the seed's band (one row of ``bands.BANDS``) weights
+those draws and picks the planes replay installs.  ``runner.check`` replays the scripts against a fresh
 world and evaluates system-wide invariants (``oracles.InvariantSuite``);
 ``shrink.shrink_failure`` minimises a failing script to a small repro.
 

@@ -1,6 +1,6 @@
 """Durable-state installation for the ``persistence`` seed band.
 
-Seeds in [500, 600) (see :mod:`repro.testkit.runner`) run with a WAL
+Seeds in [500, 600) (see :mod:`repro.testkit.bands`) run with a WAL
 journal attached to every gateway and to the VSR directory, and with
 guaranteed crash→restart faults mixed into a publish-heavy workload —
 the restart-torture band.  The fault injector turns ``NodeCrash`` into a

@@ -34,6 +34,7 @@ from repro.faults.plan import (
 from repro.net.simkernel import SimFuture
 from repro.obs.trace import render_trace_tree
 from repro.soap.http import InterchangeConfig
+from repro.testkit.bands import Band, band_for, journaled
 from repro.testkit.oracles import InvariantSuite, Violation
 from repro.testkit.topology import TopologyGen, TopologySpec, World, build_world
 from repro.testkit.workload import WorkloadGen, WorkloadOp, WorkloadRunner
@@ -81,8 +82,8 @@ class _EveryNthDrop:
 
 class FaultPlanGen:
     """Draws a fault script — ``[(time, action), ...]`` relative to
-    workload start — from the seed.  Pure data; the injector and plan are
-    built fresh at replay time."""
+    workload start — from the seed, plus whatever the seed's band adds.
+    Pure data; the injector and plan are built fresh at replay time."""
 
     MAX_FAULTS = 4
 
@@ -91,7 +92,7 @@ class FaultPlanGen:
         spec: TopologySpec,
         ops: list[WorkloadOp],
         seed: int,
-        profile: str = "default",
+        band: Band,
     ) -> list[tuple[float, FaultAction]]:
         rng = random.Random(f"testkit:faults:{seed}")
         horizon = max((op.time for op in ops), default=10.0)
@@ -134,25 +135,8 @@ class FaultPlanGen:
                     island=rng.choice(spec.island_names), duration=duration
                 )
             faults.append((at, action))
-        if profile == "persistence":
-            # The restart-torture band guarantees crash→restart cycles on
-            # gateway nodes (drawn *after* the base script so the shared
-            # prefix of the RNG stream stays identical to other bands'
-            # draws for the same seed).  Every crash restarts: permanent
-            # deaths are covered by the base draws; the band exists to
-            # exercise recovery.
-            gateways = [name for name in nodes if name.startswith("gw-")]
-            for _ in range(rng.randint(1, 3)):
-                at = rng.uniform(0.0, horizon)
-                faults.append(
-                    (
-                        at,
-                        NodeCrash(
-                            node=rng.choice(gateways),
-                            restart_after=rng.uniform(2.0, 8.0),
-                        ),
-                    )
-                )
+        if band.faults is not None:
+            faults.extend(band.faults(rng, spec, horizon))
         faults.sort(key=lambda entry: entry[0])
         return faults
 
@@ -241,106 +225,14 @@ class RunResult:
         return "\n".join(lines)
 
 
-#: Seeds in [PUSH_SEED_BASE, PUSH_SEED_BASE + PUSH_SEED_SPAN) draw the
-#: "push" profile: push-capable interchanges mixed with legacy ones and a
-#: publish-heavy workload, so streamed event channels (and their polling
-#: fallback under faults) get seeded coverage.  The band sits above the
-#: historical corpus (0-29) and below the nightly sweep (10_000+), so
-#: every previously pinned seed keeps its exact scripts.
-PUSH_SEED_BASE = 100
-PUSH_SEED_SPAN = 100
-
-#: Seeds in [RULES_SEED_BASE, RULES_SEED_BASE + RULES_SEED_SPAN) draw the
-#: "rules" profile: a push-leaning interchange mix, a publish-heavy
-#: workload, and — replay-side — deterministic rule engines installed on
-#: a couple of islands (see ``repro.testkit.rules_profile``) so the
-#: no-duplicate-firing and schedule-determinism oracles get seeded
-#: coverage under the same fault schedules as everything else.
-RULES_SEED_BASE = 200
-RULES_SEED_SPAN = 100
-
-#: Seeds in [REACTOR_SEED_BASE, REACTOR_SEED_BASE + REACTOR_SEED_SPAN)
-#: draw the "reactor" profile: a reactor-leaning interchange mix
-#: (vectored writes, zero-copy reads, pipelining) against legacy/fast/
-#: push peers, with a call-heavy workload so deep RPC pipelines and
-#: coalesced event bursts run under the same fault schedules as the
-#: older bands.  Corpus seeds 300-304 are pinned in tests/testkit.
-REACTOR_SEED_BASE = 300
-REACTOR_SEED_SPAN = 100
-
-#: Seeds in [TELEMETRY_SEED_BASE, TELEMETRY_SEED_BASE +
-#: TELEMETRY_SEED_SPAN) draw the "telemetry" profile: observability
-#: forced on, a heartbeat floor, a push-leaning interchange mix, and —
-#: replay-side — a TelemetryAgent per island streaming delta reports to
-#: one drawn TelemetryCollector (see ``repro.testkit.telemetry_profile``)
-#: audited by the telemetry-soundness oracle under the same fault
-#: schedules as every other band.  Corpus seeds 400-404 are pinned.
-TELEMETRY_SEED_BASE = 400
-TELEMETRY_SEED_SPAN = 100
-
-#: Seeds in [PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_BASE +
-#: PERSISTENCE_SEED_SPAN) draw the "persistence" profile — the
-#: restart-torture band.  Replay-side, every gateway and the directory
-#: carry a WAL journal (``repro.testkit.persistence_profile``), the
-#: fault script is guaranteed 1-3 crash→restart cycles on gateway nodes
-#: on top of the usual draws, and the workload is publish-heavy so the
-#: crashes land amid queued/retained event traffic.  Judged by the
-#: no-lost-acked-event and replay-idempotence oracles.  Corpus seeds
-#: 500-504 are pinned in tests/testkit.
-PERSISTENCE_SEED_BASE = 500
-PERSISTENCE_SEED_SPAN = 100
-
-#: Extra virtual seconds appended to the run window on persistence-band
-#: seeds before shutdown: a cold restart late in the script still needs
-#: its restart delay (≤ 8s), a channel watchdog round (~35s) and a poll
-#: interval (≤ 5s) to land retained redeliveries the durability oracle
-#: will demand.
-PERSISTENCE_SETTLE = 90.0
-
-#: Seeds in [SCALE_SEED_BASE, SCALE_SEED_BASE + SCALE_SEED_SPAN) draw the
-#: "scale" profile — the federation band.  Topologies carry a sharded,
-#: replicated directory plane (``repro.core.shard``: 4-16 shards, 2-3
-#: replicas each) plus a 1k-4k-island stub catalogue installed replay-side
-#: as pure directory data (``repro.testkit.scale_profile``) — no gateway
-#: stacks, no wire traffic.  The workload is lookup-heavy with half the
-#: lookups aimed at stub names so every shard sees cache-cold traffic,
-#: and the ring-placement and replica-convergence oracles judge the run
-#: alongside every historical invariant.  Corpus seeds 600-604 are
-#: pinned in tests/testkit.
-SCALE_SEED_BASE = 600
-SCALE_SEED_SPAN = 100
-
-#: Extra virtual seconds appended to the run window on scale-band seeds
-#: before shutdown: anti-entropy rounds fire every ~2s per replica and a
-#: fault landing on a replica late in the script still needs a few digest
-#: →pull cycles for the convergence oracle's state comparison to settle.
-SCALE_SETTLE = 30.0
-
-
-def _profile_for(seed: int) -> str:
-    if PUSH_SEED_BASE <= seed < PUSH_SEED_BASE + PUSH_SEED_SPAN:
-        return "push"
-    if RULES_SEED_BASE <= seed < RULES_SEED_BASE + RULES_SEED_SPAN:
-        return "rules"
-    if REACTOR_SEED_BASE <= seed < REACTOR_SEED_BASE + REACTOR_SEED_SPAN:
-        return "reactor"
-    if TELEMETRY_SEED_BASE <= seed < TELEMETRY_SEED_BASE + TELEMETRY_SEED_SPAN:
-        return "telemetry"
-    if PERSISTENCE_SEED_BASE <= seed < PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN:
-        return "persistence"
-    if SCALE_SEED_BASE <= seed < SCALE_SEED_BASE + SCALE_SEED_SPAN:
-        return "scale"
-    return "default"
-
-
 def generate(
     seed: int, steps: int = 40
 ) -> tuple[TopologySpec, list[WorkloadOp], list[tuple[float, FaultAction]]]:
     """All three scripts for a seed — pure data, no simulation."""
-    profile = _profile_for(seed)
-    spec = TopologyGen().generate(seed, profile=profile)
-    ops = WorkloadGen().generate(spec, steps, profile=profile)
-    faults = FaultPlanGen().generate(spec, ops, seed, profile=profile)
+    band = band_for(seed)
+    spec = TopologyGen().generate(seed, band)
+    ops = WorkloadGen().generate(spec, steps, band)
+    faults = FaultPlanGen().generate(spec, ops, seed, band)
     return spec, ops, faults
 
 
@@ -349,15 +241,13 @@ def replay(
     ops: list[WorkloadOp],
     faults: list[tuple[float, FaultAction]],
     inject_bug: str | None = None,
-    persist: bool | None = None,
+    persist: bool = False,
 ) -> RunResult:
     """Run the scripts against a fresh world and judge every invariant.
 
-    ``persist`` forces WAL journals on (True) or off (False) regardless
-    of the seed band; the default (None) attaches them exactly on
-    persistence-profile seeds.  With journals off every call site is
-    inert, so non-persistence bands stay byte-identical to their pinned
-    baselines.
+    The seed's band (``repro.testkit.bands``) installs its planes and
+    sets the settle margin; ``persist=True`` adds the persistence band's
+    WAL journals and settle on top of any band.
     """
     if inject_bug is not None and inject_bug not in INJECTABLE_BUGS:
         raise ValueError(f"unknown bug {inject_bug!r}; pick from {INJECTABLE_BUGS}")
@@ -365,14 +255,11 @@ def replay(
     suite = InvariantSuite(world)
     runner = WorkloadRunner(world)
 
-    profile = _profile_for(spec.seed)
-    do_persist = persist if persist is not None else (profile == "persistence")
-    if do_persist:
-        # Before connect: the registrations and exports connect performs
-        # are exactly what a recovering gateway must replay.
-        from repro.testkit.persistence_profile import install_persistence
-
-        install_persistence(world)
+    band = band_for(spec.seed)
+    if persist:
+        band = journaled(band)
+    if band.before_connect is not None:
+        band.before_connect(world)
 
     if inject_bug == "leak-connection":
         # Pooled connections whose idle timer never fires: with
@@ -387,39 +274,18 @@ def replay(
     except Exception as exc:  # noqa: BLE001 - report, don't mask
         error = f"connect failed: {type(exc).__name__}: {exc}"
 
-    if profile == "telemetry" and not error:
-        # Mount the collector's cross-gateway subscription before the
-        # workload clock starts, so report channels are open from t=0 of
-        # the script (its announcement traffic is part of the band's
-        # pinned wire behaviour).
-        from repro.testkit.telemetry_profile import install_telemetry
-
-        collector = install_telemetry(world)
+    if band.after_connect is not None and not error:
         try:
-            world.sim.run_until_complete(collector.mount(), timeout=CONNECT_TIMEOUT)
+            pending = band.after_connect(world)
+            if pending is not None:
+                world.sim.run_until_complete(pending, timeout=CONNECT_TIMEOUT)
         except Exception as exc:  # noqa: BLE001 - report, don't mask
-            error = f"telemetry mount failed: {type(exc).__name__}: {exc}"
-
-    if profile == "scale" and not error:
-        # Seed the stub catalogue straight into the shard primaries (pure
-        # data, no wire) before the workload clock starts, so lookups at
-        # t=0 already face a directory holding thousands of islands and
-        # anti-entropy has the whole catalogue to replicate.
-        from repro.testkit.scale_profile import install_scale
-
-        install_scale(world)
+            error = f"{band.name} mount failed: {type(exc).__name__}: {exc}"
 
     start = world.sim.now
     _plant_bug(inject_bug, world, start)
-    if profile == "rules":
-        from repro.testkit.rules_profile import install_rule_engines
-
-        install_rule_engines(world)
-        for host, engine in sorted(world.rule_engines.items()):
-            journal = world.journals.get(host)
-            if journal is not None:
-                engine.attach_journal(journal)
-            engine.start()
+    if band.at_start is not None:
+        band.at_start(world)
     # Every band flies black boxes: recorders are passive (no wire/clock
     # effects), so the historical determinism pins hold unchanged.
     from repro.testkit.blackbox import install_flight_recorders
@@ -448,11 +314,7 @@ def replay(
     injector.on_fault = on_fault
 
     last_op = max((op.time for op in ops), default=0.0)
-    end = max(start + last_op, fault_end) + 1.0
-    if do_persist:
-        end += PERSISTENCE_SETTLE
-    if profile == "scale":
-        end += SCALE_SETTLE
+    end = max(start + last_op, fault_end) + 1.0 + band.settle
     world.sim.run(until=end)
     for _, engine in sorted(world.rule_engines.items()):
         engine.stop()
@@ -626,27 +488,19 @@ def _snapshot_metrics(world: World) -> dict[str, Any]:
     return snapshot
 
 
-def check(
-    seed: int,
-    steps: int = 40,
-    inject_bug: str | None = None,
-    persist: bool | None = None,
-) -> RunResult:
+def check(seed: int, steps: int = 40, inject_bug: str | None = None) -> RunResult:
     """Generate + replay + judge one seed."""
     spec, ops, faults = generate(seed, steps)
-    return replay(spec, ops, faults, inject_bug=inject_bug, persist=persist)
+    return replay(spec, ops, faults, inject_bug=inject_bug)
 
 
 def sweep(
-    seeds: list[int],
-    steps: int = 40,
-    inject_bug: str | None = None,
-    persist: bool | None = None,
+    seeds: list[int], steps: int = 40, inject_bug: str | None = None
 ) -> list[RunResult]:
     """Run many seeds; return only the failing results."""
     failures = []
     for seed in seeds:
-        result = check(seed, steps=steps, inject_bug=inject_bug, persist=persist)
+        result = check(seed, steps=steps, inject_bug=inject_bug)
         if not result.ok:
             failures.append(result)
     return failures

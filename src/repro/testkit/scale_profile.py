@@ -1,6 +1,6 @@
 """Stub-island catalogue for the ``scale`` seed band.
 
-Seeds in [600, 700) (see :mod:`repro.testkit.runner`) run against a
+Seeds in [600, 700) (see :mod:`repro.testkit.bands`) run against a
 sharded, replicated directory plane (:mod:`repro.core.shard`) — and the
 whole point of that plane is behaviour under a registry holding
 *thousands* of islands.  Building a full gateway stack per island would
@@ -14,7 +14,7 @@ wire client would).
 The stubs then matter three ways:
 
 - **lookup traffic** — half the band's lookups target stub names
-  (see ``_SCALE_WEIGHTS`` in :mod:`repro.testkit.workload`), so every
+  (see the scale row in :mod:`repro.testkit.bands`), so every
   shard serves cache-cold reads;
 - **anti-entropy payload** — the catalogue is thousands of ops the
   replica sync agents must converge, which is what the
@@ -47,18 +47,18 @@ def stub_location(index: int) -> str:
     return f"soap://stubnet/{index}:8080/{stub_service_name(index)}"
 
 
-def install_scale(world: World) -> tuple[str, ...]:
+def install_scale(world: World) -> None:
     """Seed ``spec.stub_islands`` stub islands into the shard primaries.
 
     Call **after** ``mm.connect()`` (the real islands' registrations are
     part of the pinned connect traffic) and **before** the workload
     clock starts, so t=0 lookups already face the full catalogue.
-    Returns the stub island names, also recorded on
-    ``world.scale_stubs`` for the vsr-islands oracle.
+    Records the stub island names on ``world.scale_stubs`` for the
+    vsr-islands oracle.
     """
     federation = world.federation
     if federation is None or not world.spec.stub_islands:
-        return ()
+        return
     view = federation.view
     names = []
     for index in range(world.spec.stub_islands):
@@ -75,4 +75,3 @@ def install_scale(world: World) -> tuple[str, ...]:
         view.register_gateway(island, location)
         names.append(island)
     world.scale_stubs = tuple(names)
-    return world.scale_stubs

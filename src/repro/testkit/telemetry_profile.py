@@ -1,6 +1,6 @@
 """Telemetry-plane installation for the ``telemetry`` seed band.
 
-Seeds in [400, 500) (see :mod:`repro.testkit.runner`) run the ISSUE-8
+Seeds in [400, 500) (see :mod:`repro.testkit.bands`) run the
 telemetry plane over the generated world: every island hosts a
 :class:`~repro.obs.telemetry.TelemetryAgent` streaming delta reports on
 a shared drift-free cadence, and one drawn island mounts the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+from repro.net.simkernel import SimFuture
 from repro.obs.health import HealthPolicy
 from repro.obs.telemetry import TelemetryAgent, TelemetryCollector
 from repro.testkit.topology import TopologySpec, World
@@ -53,3 +54,11 @@ def install_telemetry(world: World) -> TelemetryCollector:
     )
     world.telemetry_collector = collector
     return collector
+
+
+def mount_telemetry(world: World) -> SimFuture:
+    """Install the plane and start mounting the collector's cross-gateway
+    subscription; the band's replay runs the mount to completion before
+    the workload clock starts, so report channels are open from t=0 (its
+    announcement traffic is part of the band's pinned wire behaviour)."""
+    return install_telemetry(world).mount()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.framework import Island, MetaMiddleware
 from repro.core.interface import ServiceInterface, simple_interface
@@ -30,6 +30,9 @@ from repro.soap.http import (
     REACTOR_INTERCHANGE,
     InterchangeConfig,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - bands imports this module
+    from repro.testkit.bands import Band
 
 #: Middleware kinds islands are drawn from; x10 and mail are bus-less
 #: (their native medium carries no SOAP, so the gateway is backbone-only).
@@ -159,50 +162,18 @@ class TopologySpec:
 
 
 class TopologyGen:
-    """Draws a random :class:`TopologySpec` from a seed.
-
-    ``profile`` selects the interchange mix: the ``"default"`` profile
-    keeps the historical draw (so every pinned corpus and sweep seed
-    replays byte-identically), while ``"push"`` mixes push-capable
-    islands in with legacy ones so seeds in that band exercise streamed
-    event channels *and* their polling fallback against mixed peers.
-    """
+    """Draws a random :class:`TopologySpec` from a seed and its band
+    (``repro.testkit.bands``): the band weights each island's interchange
+    draw and may reshape the spec after the base draws."""
 
     MIN_ISLANDS = 2
     MAX_ISLANDS = 6
     MIN_SERVICES = 1
     MAX_SERVICES = 20
 
-    _INTERCHANGE_DRAWS = {
-        "default": (("legacy", "keepalive", "fast"), (40, 25, 35)),
-        "push": (("legacy", "keepalive", "fast", "push"), (25, 10, 20, 45)),
-        # Rules seeds lean even harder on push so trigger events mostly
-        # ride streamed channels, but keep legacy islands in the mix so
-        # redelivered (at-least-once) events hit the engines' dedup.
-        "rules": (("legacy", "fast", "push"), (20, 20, 60)),
-        # Reactor seeds lean on the vectored/pipelined substrate while
-        # keeping every older wire shape in the mix, so coalesced
-        # transmissions interoperate with legacy peers under faults.
-        "reactor": (("legacy", "fast", "push", "reactor"), (15, 15, 20, 50)),
-        # Telemetry seeds favour push (reports stream over channels) but
-        # keep legacy/fast islands so delta reports also ride the polling
-        # fallback and its redelivery duplicates hit the collector dedup.
-        "telemetry": (("legacy", "fast", "push", "reactor"), (15, 20, 45, 20)),
-        # Persistence seeds favour push so crashes hit retained unacked
-        # batches and channel re-establishment, but keep legacy/fast/
-        # reactor islands so WAL recovery also rides plain polling and
-        # vectored wires (the restart matrix in miniature, seeded).
-        "persistence": (("legacy", "fast", "push", "reactor"), (20, 15, 45, 20)),
-        # Scale seeds (federated directory, thousands of stub islands)
-        # lean on fast/reactor wires — lookup throughput is the point —
-        # with legacy islands kept in so the ring-aware client also rides
-        # the one-shot wire.  No push weight: event channels add nothing
-        # to directory scaling and the subscribe weight is zero anyway.
-        "scale": (("legacy", "fast", "reactor"), (25, 40, 35)),
-    }
-
-    def generate(self, seed: int, profile: str = "default") -> TopologySpec:
-        choices, weights = self._INTERCHANGE_DRAWS[profile]
+    def generate(self, seed: int, band: Band) -> TopologySpec:
+        choices = tuple(band.interchange)
+        weights = tuple(band.interchange.values())
         rng = random.Random(f"testkit:topology:{seed}")
         islands = []
         for index in range(rng.randint(self.MIN_ISLANDS, self.MAX_ISLANDS)):
@@ -222,44 +193,18 @@ class TopologyGen:
                     poll_interval=rng.choice((1.0, 2.0, 5.0)),
                 )
             )
-        # Draw everything first (preserving the historical draw order so
-        # non-telemetry bands replay byte-identically), then apply the
-        # telemetry profile's floors: agents need a live registry to
-        # snapshot and a heartbeat for the collector's staleness scoring.
-        obs_draw = rng.random() < 0.5
-        deadline = rng.choice((5.0, 10.0, 15.0))
-        max_retries = rng.choice((0, 1, 2))
-        breaker_threshold = rng.choice((0, 3, 5))
-        heartbeat_interval = rng.choice((0.0, 0.0, 5.0, 10.0))
-        if profile == "telemetry":
-            obs_draw = True
-            if heartbeat_interval == 0.0:
-                heartbeat_interval = 5.0
-        # Scale-band draws come *after* every base draw so the shared RNG
-        # prefix (and with it, every other band's scripts for the same
-        # seed) stays byte-identical.
-        federation_shards = 0
-        federation_replicas = 1
-        stub_islands = 0
-        if profile == "scale":
-            federation_shards = rng.choice((4, 8, 16))
-            federation_replicas = rng.choice((2, 3))
-            stub_islands = rng.choices((1000, 2000, 4000), weights=(50, 35, 15))[0]
-            # Thousands of stub registrations sit in the gateway registry:
-            # heartbeating them all would drown the band in ping traffic.
-            heartbeat_interval = 0.0
-        return TopologySpec(
+        spec = TopologySpec(
             seed=seed,
             islands=tuple(islands),
-            obs_enabled=obs_draw,
-            deadline=deadline,
-            max_retries=max_retries,
-            breaker_threshold=breaker_threshold,
-            heartbeat_interval=heartbeat_interval,
-            federation_shards=federation_shards,
-            federation_replicas=federation_replicas,
-            stub_islands=stub_islands,
+            obs_enabled=rng.random() < 0.5,
+            deadline=rng.choice((5.0, 10.0, 15.0)),
+            max_retries=rng.choice((0, 1, 2)),
+            breaker_threshold=rng.choice((0, 3, 5)),
+            heartbeat_interval=rng.choice((0.0, 0.0, 5.0, 10.0)),
         )
+        if band.topology is not None:
+            spec = band.topology(rng, spec)
+        return spec
 
 
 # ---------------------------------------------------------------------------

@@ -15,40 +15,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import GatewayError
 from repro.net.simkernel import SimFuture
 from repro.testkit.topology import SimService, TopologySpec, World, service_interface
 
+if TYPE_CHECKING:  # pragma: no cover - bands imports this module
+    from repro.testkit.bands import Band
+
 TOPICS = ("alerts", "telemetry", "scene", "motion", "status")
 
-_KINDS = ("call", "publish", "subscribe", "lookup", "join", "leave")
-_WEIGHTS = (50, 15, 10, 10, 8, 7)
-#: Publish-heavy mix for the push-profile seed band: event channels only
-#: carry traffic when publishes land, and early subscribes open them.
-_PUSH_WEIGHTS = (20, 45, 20, 5, 5, 5)
-#: Rules-profile mix: publishes dominate (they are what trigger rules)
-#: but calls stay frequent enough that rule actions contend with
-#: ordinary workload traffic on the same services.
-_RULES_WEIGHTS = (25, 45, 10, 5, 8, 7)
-#: Reactor-profile mix: call-heavy with a strong publish side, so the
-#: vectored/pipelined substrate sees both deep RPC pipelines and
-#: coalesced event-frame bursts under the same fault schedules.
-_REACTOR_WEIGHTS = (45, 30, 10, 5, 5, 5)
-#: Telemetry-profile mix: call-heavy so the collector's success-rate
-#: windows always have samples, with enough publishes that telemetry
-#: reports share the event plane with real traffic.
-_TELEMETRY_WEIGHTS = (45, 25, 12, 6, 6, 6)
-#: Persistence-profile mix: publish-heavy (the crashes must land in the
-#: middle of queued/retained event traffic for the no-lost-acked-event
-#: oracle to bite) with early subscribes opening the delivery paths.
-_PERSISTENCE_WEIGHTS = (20, 45, 20, 5, 5, 5)
-#: Scale-profile mix: lookup-heavy (directory throughput is what the
-#: federation exists for), zero subscribes — opening poll loops against
-#: a registry holding thousands of stub islands would turn the band into
-#: an announce storm that has nothing to do with directory scaling.
-_SCALE_WEIGHTS = (35, 15, 0, 35, 7, 8)
+#: Op kinds, in the order a band's ``kinds`` weights them.
+KINDS = ("call", "publish", "subscribe", "lookup", "join", "leave")
 _OPERATIONS = ("get", "add", "echo", "fail")
 _OP_WEIGHTS = (40, 30, 20, 10)
 
@@ -93,30 +72,10 @@ class WorkloadOp:
 
 
 class WorkloadGen:
-    """Draws a workload script from a topology spec's seed.
+    """Draws a workload script from a topology spec's seed, with op kinds
+    weighted by the seed's band (``repro.testkit.bands``)."""
 
-    ``profile="push"`` shifts the kind weights toward publish/subscribe
-    (see ``_PUSH_WEIGHTS``); ``"default"`` keeps the historical draw so
-    pinned seeds replay byte-identically.
-    """
-
-    def generate(
-        self, spec: TopologySpec, steps: int, profile: str = "default"
-    ) -> list[WorkloadOp]:
-        if profile == "push":
-            weights = _PUSH_WEIGHTS
-        elif profile == "rules":
-            weights = _RULES_WEIGHTS
-        elif profile == "reactor":
-            weights = _REACTOR_WEIGHTS
-        elif profile == "telemetry":
-            weights = _TELEMETRY_WEIGHTS
-        elif profile == "persistence":
-            weights = _PERSISTENCE_WEIGHTS
-        elif profile == "scale":
-            weights = _SCALE_WEIGHTS
-        else:
-            weights = _WEIGHTS
+    def generate(self, spec: TopologySpec, steps: int, band: Band) -> list[WorkloadOp]:
         rng = random.Random(f"testkit:workload:{spec.seed}")
         islands = spec.island_names
         # Track the catalog the script *intends* to exist so later ops can
@@ -131,7 +90,7 @@ class WorkloadGen:
         t = 0.0
         for index in range(steps):
             t += rng.uniform(0.05, 1.5)
-            kind = rng.choices(_KINDS, weights=weights)[0]
+            kind = rng.choices(KINDS, weights=band.kinds)[0]
             island = rng.choice(islands)
             if kind == "leave" and not alive[island]:
                 kind = "publish"  # nothing left to withdraw; stay deterministic
@@ -153,14 +112,11 @@ class WorkloadGen:
                 topics = tuple(rng.sample(TOPICS, rng.randint(1, 3)))
                 ops.append(WorkloadOp(index, t, kind, island, topics=topics))
             elif kind == "lookup":
-                if (
-                    profile == "scale"
-                    and spec.stub_islands
-                    and rng.random() < 0.5
-                ):
-                    # Half the scale band's lookups target the seeded stub
-                    # catalogue: names spread across every shard, mostly
-                    # cache-cold, exactly the traffic sharding exists for.
+                if spec.stub_islands and rng.random() < 0.5:
+                    # Half the lookups in a world with a seeded stub
+                    # catalogue target it: names spread across every
+                    # shard, mostly cache-cold, exactly the traffic
+                    # sharding exists for.
                     service = f"Svc_stub{rng.randrange(spec.stub_islands)}"
                 else:
                     service = rng.choice(all_services + ["Svc_ghost"])

@@ -22,7 +22,8 @@ import pytest
 from repro.errors import GatewayError
 from repro.faults.plan import NodeCrash
 from repro.testkit.persistence_profile import install_persistence
-from repro.testkit.runner import PERSISTENCE_SEED_BASE, check, generate, replay
+from repro.testkit.bands import band_for
+from repro.testkit.runner import check, generate, replay
 from repro.testkit.topology import IslandSpec, TopologySpec, build_world
 from repro.testkit.workload import WorkloadGen
 
@@ -130,9 +131,9 @@ class TestRestartMatrix:
     def test_cold_restart_recovers(self, interchange: str, crash_fraction: float):
         # Seed inside the persistence band so replay() attaches journals;
         # distinct per cell so fault RNG streams never collide.
-        seed = PERSISTENCE_SEED_BASE + 90
+        seed = 590
         spec = two_island_spec(seed=seed, interchange=interchange)
-        ops = WorkloadGen().generate(spec, 25, profile="persistence")
+        ops = WorkloadGen().generate(spec, 25, band_for(seed))
         horizon = max(op.time for op in ops)
         victim = "alpha"
         faults = [

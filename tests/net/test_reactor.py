@@ -5,10 +5,11 @@ import pytest
 
 from repro.net.monitor import TrafficMonitor
 from repro.net.reactor import VECTOR_MAX_PAYLOAD, Reactor
-from repro.net.simkernel import Simulator
+from repro.net.simkernel import SimFuture, Simulator
 from repro.net.transport import PROTO_TCP, PROTO_TCPV, Connection
 from repro.obs.export import snapshot_with_traffic
 from repro.obs.metrics import MetricsRegistry
+from repro.soap.http import HttpClient, HttpResponse, HttpServer, InterchangeConfig
 
 from tests.conftest import make_host
 
@@ -219,6 +220,39 @@ class TestContinuations:
         continuation.cancel()
         continuation.cancel()
         assert hits == []  # finished first: the cancel hook never runs
+
+    def test_retired_continuations_leave_the_books(self, sim, net, eth):
+        """Many async server exchanges on one long-lived server: finished
+        continuations must not pile up under its key until something
+        reads ``parked``."""
+        a = make_host(net, "a", eth)
+        b = make_host(net, "b", eth)
+        server = HttpServer(b, 80)
+        held: list[SimFuture] = []
+
+        def handler(request):
+            future = SimFuture()
+            if request.path == "/quick":
+                sim.schedule(0.01, future.set_result, HttpResponse(200))
+            else:
+                held.append(future)
+            return future
+
+        server.register("/quick", handler)
+        server.register("/held", handler)
+        client = HttpClient(a, InterchangeConfig(keep_alive=True))
+        for _ in range(50):
+            assert sim.run_until_complete(client.get(b.local_address(), 80, "/quick")).ok
+        client.get(b.local_address(), 80, "/held")
+        sim.run(until=sim.now + 1.0)
+        books = b.reactor._continuations
+        assert [len(parked) for parked in books.values()] == [1]
+        stats = b.reactor.stats()
+        assert stats["continuations_parked"] == 51
+        assert stats["parked"] == 1
+        held[0].set_result(HttpResponse(200))
+        sim.run(until=sim.now + 1.0)
+        assert books == {}
 
     def test_cancel_all_covers_every_key(self, sim, net, eth):
         reactor = make_host(net, "a", eth).reactor

@@ -12,6 +12,8 @@ from repro.soap.http import (
     HttpRequest,
     HttpResponse,
     HttpServer,
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
     InterchangeConfig,
     _MessageAssembler,
     _parse_head,
@@ -232,6 +234,76 @@ class TestNegativeContentLength:
             conn.set_receiver(
                 lambda c, _data: c.send(
                     b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n" + self.BAD_TAIL
+                )
+            )
+
+        b.listen(80, on_connection)
+        client = HttpClient(a, InterchangeConfig(keep_alive=True))
+        future = client.get(b.local_address(), 80, "/a")
+        sim.run()
+        assert isinstance(future.exception(), ProtocolError)
+        assert client.pooled_destinations == 0
+        assert client.stack.open_connections == 0
+
+
+class TestMessageCaps:
+    """A peer that never ends its header section, or announces a body of
+    ``Content-Length: 99999999999``, used to leave the assembler waiting
+    forever on a growing buffer."""
+
+    #: Header-section tails past each cap, after a start line.
+    OVERSIZED = {
+        "header": b"X-Pad: " + b"a" * MAX_HEADER_BYTES,
+        "body": b"Content-Length: 99999999999\r\n\r\n",
+    }
+
+    def test_assembler_accepts_messages_at_the_caps(self):
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n" % MAX_BODY_BYTES
+        pad = b"X-Pad: " + b"a" * (MAX_HEADER_BYTES - len(head) - 11) + b"\r\n\r\n"
+        assert len(head + pad) == MAX_HEADER_BYTES
+        complete = _MessageAssembler().feed(head + pad + b"b" * MAX_BODY_BYTES)
+        assert complete is not None
+        assert len(complete[2]) == MAX_BODY_BYTES
+
+    @pytest.mark.parametrize("cap", sorted(OVERSIZED))
+    def test_assembler_rejects_past_the_cap(self, cap):
+        with pytest.raises(ProtocolError):
+            _MessageAssembler().feed(b"HTTP/1.1 200 OK\r\n" + self.OVERSIZED[cap])
+
+    def test_header_cap_trips_across_feeds(self):
+        assembler = _MessageAssembler()
+        assert assembler.feed(b"HTTP/1.1 200 OK\r\n") is None
+        with pytest.raises(ProtocolError):
+            for _ in range(MAX_HEADER_BYTES):
+                assembler.feed(b"X-Pad: aaaaaaaa\r\n")
+
+    @pytest.mark.parametrize("cap", sorted(OVERSIZED))
+    def test_server_answers_400_and_closes(self, sim, two_hosts, cap):
+        a, b = two_hosts
+        server = HttpServer(b, 80)
+        server.register("/a", lambda req: HttpResponse(200))
+        conn = sim.run_until_complete(a.connect(b.local_address(), 80))
+        received = []
+        conn.set_receiver(lambda _conn, data: received.append(bytes(data)))
+        conn.send(
+            b"POST /a HTTP/1.1\r\nConnection: keep-alive\r\n" + self.OVERSIZED[cap]
+        )
+        sim.run()
+        assert b"".join(received).startswith(b"HTTP/1.0 400 ")
+        assert conn.state != conn.ESTABLISHED
+        assert server.requests_served == 0
+
+    @pytest.mark.parametrize("cap", sorted(OVERSIZED))
+    def test_client_fails_exchange_and_drops_pooled_connection(
+        self, sim, two_hosts, cap
+    ):
+        a, b = two_hosts
+
+        def on_connection(conn):
+            conn.set_receiver(
+                lambda c, _data: c.send(
+                    b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n"
+                    + self.OVERSIZED[cap]
                 )
             )
 

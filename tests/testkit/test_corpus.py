@@ -1,47 +1,29 @@
-"""Fixed seed corpus + opt-in randomized sweep.
+"""Fixed seed corpus + opt-in randomized and full-band sweeps.
 
-The corpus pins 30 seeds forever: every oracle must hold on each of them
-on every commit.  The sweep (``--testkit-seeds N``) explores fresh seeds
-beyond the corpus; CI runs it nightly with N=200 and uploads a shrunk
-repro when a seed fails (see docs/TESTING.md for how to replay one).
+The corpus pins seeds forever: every oracle must hold on each of them on
+every commit.  The sweep (``--testkit-seeds N``) explores fresh seeds
+beyond the corpus; CI runs it nightly with N=200, plus the full
+persistence and scale bands, and uploads a shrunk repro when a seed
+fails (see docs/TESTING.md for how to replay one).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 
 import pytest
 
 from repro.testkit import check, shrink_failure, sweep
+from repro.testkit.bands import BANDS, BY_NAME
 
-#: Never reorder or remove entries; append only.  A corpus seed that starts
-#: failing is a regression in the system or a newly-tightened oracle.
-#: Seeds 100-104 sit in the push-profile band (see repro.testkit.runner):
-#: push-capable islands, publish-heavy workloads, streamed event channels.
-#: Seeds 200-204 sit in the rules band: deterministic rule engines run
-#: over the workload, judged by the rule-dedup and rule-schedule oracles.
-#: Seeds 300-304 sit in the reactor band: vectored/pipelined islands with
-#: call-heavy workloads, so the coalescing transport core and the legacy
-#: wire interoperate under the same fault schedules on every commit.
-#: Seeds 400-404 sit in the telemetry band: every island streams delta
-#: reports to one collector, judged by the telemetry-soundness oracle
-#: (no double-counted redelivery, no fabricated sequence numbers).
-#: Seeds 500-504 sit in the persistence band: WAL journals on every
-#: gateway and the directory, guaranteed cold crash→restart cycles, and
-#: the event-durability + replay-idempotence oracles judging recovery.
-#: Seeds 600-604 sit in the scale band: a sharded, replicated directory
-#: plane (4-16 shards × 2-3 replicas) under 1k-4k stub registrations,
-#: judged by the ring-placement and replica-convergence oracles.
-CORPUS = (
-    list(range(30))
-    + [100, 101, 102, 103, 104]
-    + [200, 201, 202, 203, 204]
-    + [300, 301, 302, 303, 304]
-    + [400, 401, 402, 403, 404]
-    + [500, 501, 502, 503, 504]
-    + [600, 601, 602, 603, 604]
-)
+#: Seeds 0-29 of the default band, then the first five seeds of every
+#: other band in table order (docs/TESTING.md lists what each band
+#: changes).  Never reorder or remove entries; a new band appends its
+#: own five.  A corpus seed that starts failing is a regression in the
+#: system or a newly-tightened oracle.
+CORPUS = list(range(30)) + [seed for band in BANDS[1:] for seed in band.seeds[:5]]
 
 #: Sweep seeds live far above the corpus so the nightly never rechecks
 #: what every push already covers.
@@ -97,22 +79,10 @@ def test_killed_channels_mid_run_keep_all_oracles() -> None:
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
-def test_persistence_band_full_sweep() -> None:
-    """Every seed in the restart-torture band [500, 600), not just the
-    five corpus pins.  Opt-in (CI runs it nightly): set
-    ``TESTKIT_PERSISTENCE_SWEEP=1``."""
-    if not os.environ.get("TESTKIT_PERSISTENCE_SWEEP"):
-        pytest.skip(
-            "full persistence-band sweep disabled (set TESTKIT_PERSISTENCE_SWEEP=1)"
-        )
-    from repro.testkit.runner import PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_SPAN
-
-    seeds = list(
-        range(PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN)
-    )
-    failures = sweep(seeds)
-    if not failures:
-        return
+def _fail_with_repro(failures: list, total: int, label: str) -> None:
+    """Shrink the first failure to a minimal repro, write it and the
+    failing run's black boxes to ``TESTKIT_OUTPUT_DIR`` (where CI picks
+    them up as artifacts), and fail the test."""
     first = failures[0]
     shrunk = shrink_failure(first.seed)
     out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
@@ -120,40 +90,15 @@ def test_persistence_band_full_sweep() -> None:
         path = pathlib.Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
+        # Oracle failures trigger every node's flight recorder.
         (path / f"flight-seed-{first.seed}.json").write_text(
             first.flight_dumps_json()
         )
-        (path / f"wal-seed-{first.seed}.json").write_text(first.wal_dumps_json())
-    pytest.fail(
-        f"{len(failures)} of {len(seeds)} persistence-band seeds failed "
-        f"(first: seed={first.seed})\n\n{shrunk.render()}"
-    )
-
-
-def test_scale_band_full_sweep() -> None:
-    """Every seed in the sharded-directory scale band [600, 700), not
-    just the five corpus pins.  Opt-in (CI runs it nightly): set
-    ``TESTKIT_SCALE_SWEEP=1``."""
-    if not os.environ.get("TESTKIT_SCALE_SWEEP"):
-        pytest.skip("full scale-band sweep disabled (set TESTKIT_SCALE_SWEEP=1)")
-    import json
-
-    from repro.testkit.runner import SCALE_SEED_BASE, SCALE_SEED_SPAN
-
-    seeds = list(range(SCALE_SEED_BASE, SCALE_SEED_BASE + SCALE_SEED_SPAN))
-    failures = sweep(seeds)
-    if not failures:
-        return
-    first = failures[0]
-    shrunk = shrink_failure(first.seed)
-    out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
-    if out_dir:
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
-        (path / f"flight-seed-{first.seed}.json").write_text(
-            first.flight_dumps_json()
-        )
+        # Journaled runs also ship every WAL dump (record stream +
+        # truncation accounting) for offline replay.
+        wal_dumps = first.wal_dumps_json()
+        if wal_dumps != "{}":
+            (path / f"wal-seed-{first.seed}.json").write_text(wal_dumps)
         # The ring is the routing ground truth: a placement or
         # convergence violation is only debuggable against the exact
         # vnode layout the failing seed drew.
@@ -162,9 +107,22 @@ def test_scale_band_full_sweep() -> None:
                 json.dumps(first.world.federation.ring_dump(), indent=2)
             )
     pytest.fail(
-        f"{len(failures)} of {len(seeds)} scale-band seeds failed "
+        f"{len(failures)} of {total} {label} seeds failed "
         f"(first: seed={first.seed})\n\n{shrunk.render()}"
     )
+
+
+@pytest.mark.parametrize("band", list(BY_NAME))
+def test_band_full_sweep(band: str) -> None:
+    """Every seed of a band, not just its corpus pins.  Opt-in: set
+    ``TESTKIT_BAND_SWEEP`` to comma-separated band names (CI sweeps
+    ``persistence,scale`` nightly)."""
+    if band not in os.environ.get("TESTKIT_BAND_SWEEP", "").split(","):
+        pytest.skip(f"{band}-band sweep disabled (add it to TESTKIT_BAND_SWEEP)")
+    seeds = list(BY_NAME[band].seeds)
+    failures = sweep(seeds)
+    if failures:
+        _fail_with_repro(failures, len(seeds), f"{band}-band")
 
 
 def test_sweep_random_seeds(request: pytest.FixtureRequest) -> None:
@@ -173,28 +131,5 @@ def test_sweep_random_seeds(request: pytest.FixtureRequest) -> None:
         pytest.skip("randomized sweep disabled (pass --testkit-seeds N)")
     seeds = list(range(SWEEP_BASE, SWEEP_BASE + count))
     failures = sweep(seeds)
-    if not failures:
-        return
-    # Shrink the first failure to a minimal repro and persist it where CI
-    # can pick it up as an artifact.
-    first = failures[0]
-    shrunk = shrink_failure(first.seed)
-    out_dir = os.environ.get("TESTKIT_OUTPUT_DIR")
-    if out_dir:
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"repro-seed-{first.seed}.txt").write_text(shrunk.render())
-        # Black box next to the repro: the failing run's flight-recorder
-        # dumps (oracle failures trigger every node's recorder).
-        (path / f"flight-seed-{first.seed}.json").write_text(
-            first.flight_dumps_json()
-        )
-        # Persistence-band failures also ship every journal's WAL dump
-        # (record stream + truncation accounting) for offline replay.
-        wal_dumps = first.wal_dumps_json()
-        if wal_dumps != "{}":
-            (path / f"wal-seed-{first.seed}.json").write_text(wal_dumps)
-    pytest.fail(
-        f"{len(failures)} of {count} sweep seeds failed "
-        f"(first: seed={first.seed})\n\n{shrunk.render()}"
-    )
+    if failures:
+        _fail_with_repro(failures, count, "sweep")

